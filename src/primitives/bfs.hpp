@@ -4,10 +4,10 @@
 // flavors (Section 4.5): the non-idempotent mode claims vertices with an
 // atomic CAS on the depth label during advance (no duplicates reach the
 // output frontier), while the idempotent mode — Gunrock's fastest — writes
-// labels without atomics, tolerates benign rediscovery, and relies on the
-// filter's visited-bitmap claim plus history-hash heuristics to prune
-// duplicates. Direction-optimizing traversal (push/pull) is selected per
-// iteration by the Beamer controller.
+// labels without an atomic claim, tolerates benign rediscovery, and relies
+// on the filter's visited-bitmap claim plus history-hash heuristics to
+// prune duplicates. Direction-optimizing traversal (push/pull) is selected
+// per iteration by the Beamer controller.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,11 @@ struct BfsOptions : CommonOptions {
 struct BfsResult {
   /// Hop count from the source; -1 for unreachable vertices.
   std::vector<std::int32_t> depth;
-  /// BFS-tree parent; kInvalidVid for the source and unreachable vertices.
+  /// BFS-tree parent: the smallest-id in-neighbour u of v with
+  /// depth[u] == depth[v] - 1. The rule makes the tree a function of the
+  /// graph and source alone — identical across thread interleavings, pool
+  /// widths, push/pull directions and the idempotent/atomic variants.
+  /// kInvalidVid for the source and unreachable vertices.
   std::vector<vid_t> pred;
   core::TraversalStats stats;
 };

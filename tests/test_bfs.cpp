@@ -98,6 +98,98 @@ std::vector<std::tuple<std::size_t, Config>> AllParams() {
 INSTANTIATE_TEST_SUITE_P(AllGraphs, BfsParamTest,
                          ::testing::ValuesIn(AllParams()), ConfigName);
 
+// --- the parent rule -------------------------------------------------------
+
+// pred[v] is the smallest-id in-neighbour u with depth[u] == depth[v] - 1,
+// derived serially from the returned depths: scanning u in ascending
+// order, the first qualifying u claims v. Out-edge scanning finds
+// in-neighbours on directed graphs too.
+std::vector<vid_t> SmallestParentRule(const graph::Csr& g,
+                                      const std::vector<std::int32_t>& depth) {
+  std::vector<vid_t> pred(depth.size(), kInvalidVid);
+  for (vid_t u = 0; u < g.num_vertices(); ++u) {
+    if (depth[u] < 0) continue;
+    for (const vid_t v : g.neighbors(u)) {
+      if (depth[v] == depth[u] + 1 && pred[v] == kInvalidVid) pred[v] = u;
+    }
+  }
+  return pred;
+}
+
+struct PredConfig {
+  const char* name;
+  bool idempotent;
+  core::Direction direction;
+};
+
+constexpr PredConfig kPredConfigs[] = {
+    {"push_atomic", false, core::Direction::kPush},
+    {"push_idem", true, core::Direction::kPush},
+    {"pull", true, core::Direction::kPull},
+    {"optimizing_idem", true, core::Direction::kOptimizing},
+    {"optimizing_atomic", false, core::Direction::kOptimizing},
+};
+
+// Runs BFS at pool widths 1, 2 and 4 (pools shared by every case). The
+// rule is checked exactly, so a racy parent fails even on a single-core
+// machine rather than only when the interleaving happens to expose it.
+void ExpectParentRule(const graph::Csr& g, vid_t source, BfsOptions opts) {
+  static par::ThreadPool* const pools[] = {new par::ThreadPool(1),
+                                           new par::ThreadPool(2),
+                                           new par::ThreadPool(4)};
+  for (par::ThreadPool* pool : pools) {
+    SCOPED_TRACE("pool width " + std::to_string(pool->num_threads()));
+    opts.pool = pool;
+    const auto got = Bfs(g, source, opts);
+    EXPECT_EQ(got.pred, SmallestParentRule(g, got.depth));
+    test::ExpectValidBfsTree(g, source, got);
+  }
+}
+
+class BfsPredRuleTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, PredConfig>> {};
+
+TEST_P(BfsPredRuleTest, PredIsSmallestInNeighbourAtEveryPoolWidth) {
+  const auto& [case_idx, cfg] = GetParam();
+  const auto& c = Cases()[case_idx];
+  BfsOptions opts;
+  opts.idempotent = cfg.idempotent;
+  opts.direction = cfg.direction;
+  ExpectParentRule(c.graph, c.source, opts);
+}
+
+std::string PredConfigName(
+    const ::testing::TestParamInfo<std::tuple<std::size_t, PredConfig>>&
+        info) {
+  const auto& [case_idx, cfg] = info.param;
+  return test::SafeTestName(Cases()[case_idx].name + "_" + cfg.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllGraphs, BfsPredRuleTest,
+    ::testing::Combine(::testing::Range(std::size_t{0}, Cases().size()),
+                       ::testing::ValuesIn(kPredConfigs)),
+    PredConfigName);
+
+// Directed graphs: push needs no reverse to reach the rule; pull and
+// direction-optimizing read in-neighbours from the supplied reverse.
+TEST(BfsTest, PredRuleHoldsOnDirectedGraphs) {
+  const auto cases =
+      test::CorpusBuilder().Directed(true).Rmat(11, 8, /*source=*/5).Build();
+  for (const auto& c : cases) {
+    const graph::Csr reverse =
+        graph::ReverseCsr(c.graph, par::ThreadPool::Global());
+    for (const PredConfig& cfg : kPredConfigs) {
+      SCOPED_TRACE(c.name + "_" + cfg.name);
+      BfsOptions opts;
+      opts.idempotent = cfg.idempotent;
+      opts.direction = cfg.direction;
+      if (cfg.direction != core::Direction::kPush) opts.reverse = &reverse;
+      ExpectParentRule(c.graph, c.source, opts);
+    }
+  }
+}
+
 TEST(BfsTest, RejectsBadSource) {
   const auto g = test::Undirected(graph::MakePath(4));
   EXPECT_THROW(Bfs(g, -1), Error);

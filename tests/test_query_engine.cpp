@@ -127,6 +127,10 @@ TEST(QueryEngineTest, ConcurrentResultsBitIdenticalToDirectCalls) {
     const auto& got_bfs = std::get<BfsResult>(bfs_resp.result);
     const auto want_bfs = Bfs(g, sources[i], bfs.opts);
     EXPECT_EQ(got_bfs.depth, want_bfs.depth) << "source " << sources[i];
+    // The parent rule (smallest-id in-neighbour at depth - 1) makes the
+    // tree itself reproducible, so it is pinned exactly, not just checked
+    // for validity.
+    EXPECT_EQ(got_bfs.pred, want_bfs.pred) << "source " << sources[i];
     test::ExpectValidBfsTree(g, sources[i], got_bfs);
 
     const auto& sssp_resp = sssp_handles[i].Wait();
